@@ -185,6 +185,27 @@ let check_sampled name () =
     Alcotest.(check bool) "true cycles within the reported CI" true
       (Float.abs (est.Sampled.es_cycles -. actual) <= est.Sampled.es_ci95)
 
+(* Sampled golden: the estimate (every field but [es_ci95]) and the
+   detailed-stretch cycle count must match [Sampled_golden] bit for bit. *)
+let check_sampled_golden
+    (name, detailed_cycles, cycles, intervals, measured, total, mean, sd, full)
+    () =
+  let prog, image = compiled name in
+  let r, est = Sampled.run prog image ~entry:"main" ~args:[] in
+  let bits what a b =
+    Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  Alcotest.(check int) "detailed-stretch cycles" detailed_cycles
+    r.Core.timing.Core.cycles;
+  bits "es_cycles" cycles est.Sampled.es_cycles;
+  Alcotest.(check int) "es_intervals" intervals est.Sampled.es_intervals;
+  Alcotest.(check int) "es_measured_blocks" measured
+    est.Sampled.es_measured_blocks;
+  Alcotest.(check int) "es_total_blocks" total est.Sampled.es_total_blocks;
+  bits "es_cpb_mean" mean est.Sampled.es_cpb_mean;
+  bits "es_cpb_stddev" sd est.Sampled.es_cpb_stddev;
+  Alcotest.(check bool) "es_full" full est.Sampled.es_full
+
 let () =
   Alcotest.run "sim_parity"
     [
@@ -214,5 +235,10 @@ let () =
       ( "sampled",
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_sampled name))
-          [ "fft"; "ct"; "tblook" ] );
+          [ "fft"; "ct"; "tblook" ]
+        @ List.map
+            (fun ((name, _, _, _, _, _, _, _, _) as row) ->
+              Alcotest.test_case (name ^ " golden") `Quick
+                (check_sampled_golden row))
+            Sampled_golden.per_workload );
     ]
