@@ -15,9 +15,7 @@ module Ast = Trips_tir.Ast
 module Ty = Trips_tir.Ty
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
-module Specialize = Trips_sim.Specialize
 module Sampled = Trips_sim.Sampled
-module Plan_cache = Trips_sim.Plan_cache
 open Trips_harness
 
 let quality_of = function
@@ -60,19 +58,9 @@ let sim_arg =
     & opt string "cycle"
     & info [ "sim" ] ~docv:"SIM"
         ~doc:
-          "One of: functional, cycle, spec, sampled, ideal, risc, core2, p4, \
-           p3.")
+          "One of: functional, cycle, sampled, ideal, risc, core2, p4, p3.")
 
-let plan_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "plan-cache" ] ~docv:"DIR"
-        ~doc:
-          "On-disk compiled-plan cache directory for the specialized engine \
-           (sim spec/sampled).")
-
-let run_bench name preset sim plan_cache =
+let run_bench name preset sim =
   let b = Registry.find name in
   let q = quality_of preset in
   let golden, _ = Registry.golden b in
@@ -89,17 +77,8 @@ let run_bench name preset sim plan_cache =
       s.Exec.blocks s.Exec.fetched s.Exec.executed s.Exec.useful s.Exec.k_move;
     Printf.printf "avg block size: %.1f\n"
       (Trips_util.Stats.ratio s.Exec.fetched s.Exec.blocks)
-  | "cycle" | "spec" ->
-    let r, rep =
-      if sim = "cycle" then (Platforms.trips q b, None)
-      else begin
-        let prog = Platforms.edge_program q b in
-        let image = Image.build b.Registry.program.Ast.globals in
-        let cache = Option.map (fun dir -> Plan_cache.create ~dir ()) plan_cache in
-        let r, rep = Specialize.run_report ?cache prog image ~entry:"main" ~args:[] in
-        (r, Some rep)
-      end
-    in
+  | "cycle" ->
+    let r = Platforms.trips q b in
     show_ret r.Core.ret;
     Printf.printf
       "cycles: %d  IPC: %.2f (useful %.2f)  window: %.0f  avg hops: %.2f\n"
@@ -109,21 +88,11 @@ let run_bench name preset sim plan_cache =
       "branch mispredicts: %d  call/ret: %d  I$ misses: %d  D$ misses: %d  load flushes: %d\n"
       r.Core.timing.Core.branch_mispredicts r.Core.timing.Core.callret_mispredicts
       r.Core.timing.Core.icache_misses r.Core.timing.Core.dcache_misses
-      r.Core.timing.Core.load_flushes;
-    Option.iter
-      (fun (rep : Specialize.report) ->
-        Printf.printf
-          "spec: compiled=%d derived=%d cache_hits_mem=%d cache_hits_disk=%d \
-           interpreted=%d\n"
-          rep.Specialize.rp_blocks_compiled rep.Specialize.rp_tables_derived
-          rep.Specialize.rp_cache_hits_mem rep.Specialize.rp_cache_hits_disk
-          rep.Specialize.rp_interpreted)
-      rep
+      r.Core.timing.Core.load_flushes
   | "sampled" ->
     let prog = Platforms.edge_program q b in
     let image = Image.build b.Registry.program.Ast.globals in
-    let cache = Option.map (fun dir -> Plan_cache.create ~dir ()) plan_cache in
-    let r, est = Sampled.run ?cache prog image ~entry:"main" ~args:[] in
+    let r, est = Sampled.run prog image ~entry:"main" ~args:[] in
     show_ret r.Core.ret;
     if est.Sampled.es_full then
       Printf.printf "cycles: %.0f (exact: run too short to sample)\n"
@@ -162,17 +131,16 @@ let run_bench name preset sim plan_cache =
 
 let run_cmd =
   let doc = "Run one benchmark on one modeled platform." in
-  let main name preset sim plan_cache =
+  let main name preset sim =
     try
-      run_bench name preset sim plan_cache;
+      run_bench name preset sim;
       `Ok ()
     with
     | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
     | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      ret (const main $ bench_arg $ preset_arg $ sim_arg $ plan_cache_arg))
+    Term.(ret (const main $ bench_arg $ preset_arg $ sim_arg))
 
 (* -- exp -------------------------------------------------------------- *)
 
@@ -1166,8 +1134,8 @@ module Core_ref = Trips_sim.Core_ref
 
 (* One sequential cycle-simulator sweep over the registered workloads.
    Compilation and image building happen outside the timed region so the
-   clocks measure the selected engine alone (`Core`, `Core_ref`, the
-   specialized `Specialize`, or the `Sampled` estimator).  Both wall and
+   clocks measure the selected engine alone (`Core`, `Core_ref` or the
+   `Sampled` estimator).  Both wall and
    process CPU time are recorded: the shared machines this runs on carry
    unpredictable background load, so throughput gates use the CPU-time
    ratio, which that noise cancels out of. *)
@@ -1199,11 +1167,8 @@ let simbench_sweep ~use_ref q benches =
           ( b.Registry.name, t.Core_ref.cycles, t.Core_ref.blocks,
             t.Core_ref.branch_mispredicts, t.Core_ref.callret_mispredicts,
             t.Core_ref.dcache_misses, t.Core_ref.load_flushes )
-        | `Core | `Spec ->
-          let r =
-            if use_ref = `Core then Core.run prog image ~entry:"main" ~args:[]
-            else Specialize.run prog image ~entry:"main" ~args:[]
-          in
+        | `Core ->
+          let r = Core.run prog image ~entry:"main" ~args:[] in
           let t = r.Core.timing in
           ( b.Registry.name, t.Core.cycles, t.Core.blocks,
             t.Core.branch_mispredicts, t.Core.callret_mispredicts,
@@ -1249,15 +1214,6 @@ let simbench_main preset fixture out compare_ref =
       end
       else None
     in
-    (* specialized engine: must reproduce the interpreter's rows exactly
-       (the bit-identity contract), timed for the speedup-vs-plan gate *)
-    let spec_rows, spec_wall, spec_cpu = simbench_sweep ~use_ref:`Spec q benches in
-    if spec_rows <> rows then
-      failwith "simbench: specialized and interpreted engines disagree";
-    Printf.printf
-      "simbench: specialized sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-       speedup x%.2f vs plan interpreter (stats identical)\n%!"
-      spec_wall spec_cpu (bps spec_cpu) (cpu /. spec_cpu);
     (* sampled estimator: throughput plus estimate quality *)
     let samp_rows, samp_wall, samp_cpu =
       simbench_sweep ~use_ref:`Sampled q benches
@@ -1322,10 +1278,6 @@ let simbench_main preset fixture out compare_ref =
               ]
             | None -> [])
           @ [
-              ("spec_wall_s", Json.Float spec_wall);
-              ("spec_cpu_s", Json.Float spec_cpu);
-              ("spec_blocks_per_s", Json.Float (bps spec_cpu));
-              ("speedup_vs_plan", Json.Float (cpu /. spec_cpu));
               ("sampled_wall_s", Json.Float samp_wall);
               ("sampled_cpu_s", Json.Float samp_cpu);
               ("sampled_blocks_per_s", Json.Float (bps samp_cpu));

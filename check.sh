@@ -89,21 +89,17 @@ dune exec bin/trips_run.exe -- simbench --preset C --compare-ref \
   --out simbench-report.json
 speedup=$(sed -n 's/.*"speedup_vs_ref": \([0-9.eE+-]*\).*/\1/p' simbench-report.json | tail -1)
 min_speedup=$(sed -n 's/.*"min_speedup_vs_ref": \([0-9.]*\).*/\1/p' bench/BENCH_sim.json)
-spec_speedup=$(sed -n 's/.*"speedup_vs_plan": \([0-9.eE+-]*\).*/\1/p' simbench-report.json | tail -1)
-min_spec=$(sed -n 's/.*"min_speedup_vs_plan": \([0-9.]*\).*/\1/p' bench/BENCH_sim.json)
 samp_speedup=$(sed -n 's/.*"speedup_vs_plan_sampled": \([0-9.eE+-]*\).*/\1/p' simbench-report.json | tail -1)
 min_samp=$(sed -n 's/.*"min_speedup_vs_plan_sampled": \([0-9.]*\).*/\1/p' bench/BENCH_sim.json)
 awk -v s="$speedup" -v ms="$min_speedup" \
-    -v sp="$spec_speedup" -v msp="$min_spec" \
     -v sa="$samp_speedup" -v msa="$min_samp" 'BEGIN {
-  if (s == "" || sp == "" || sa == "") {
+  if (s == "" || sa == "") {
     print "simbench: speedup fields missing from simbench-report.json" > "/dev/stderr"
     exit 1
   }
   printf "sim throughput: x%.2f vs reference (min x%.2f)\n", s, ms
-  printf "specialized engine: x%.2f vs plan interpreter (min x%.2f)\n", sp, msp
   printf "sampled estimator: x%.2f vs plan interpreter (min x%.2f)\n", sa, msa
-  if (s + 0 < ms + 0 || sp + 0 < msp + 0 || sa + 0 < msa + 0) {
+  if (s + 0 < ms + 0 || sa + 0 < msa + 0) {
     print "sim throughput regressed past bench/BENCH_sim.json thresholds" > "/dev/stderr"
     exit 1
   }

@@ -66,10 +66,10 @@ let write_all fd data =
   in
   go 0
 
-let store_entry t ~key ~fmt payload =
+let store t ~key table =
   let file = path t ~key in
   let tmp = Printf.sprintf "%s.%d.tmp" file (Unix.getpid ()) in
-  let data = Marshal.to_string (fmt, key, payload) [] in
+  let data = Marshal.to_string (format, key, Table.serialize table) [] in
   try
     let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     Fun.protect
@@ -84,27 +84,6 @@ let store_entry t ~key ~fmt payload =
     Sys.rename tmp file
   with Sys_error _ | Unix.Unix_error _ ->
     (try Sys.remove tmp with Sys_error _ -> ())
-
-let store t ~key table = store_entry t ~key ~fmt:format (Table.serialize table)
-
-(* Raw string payloads under the same naming, atomicity and key-guard
-   conventions: the cycle simulator's compiled-plan cache stores its
-   marshaled derivation tables this way.  A distinct format tag keeps raw
-   entries and result tables from ever deserializing as each other. *)
-let raw_format = "trips-raw-cache/1"
-
-let find_raw t ~key =
-  let file = path t ~key in
-  if not (Sys.file_exists file) then None
-  else
-    try
-      let (fmt, stored_key, payload) : string * string * string =
-        Marshal.from_string (read_file file) 0
-      in
-      if fmt = raw_format && stored_key = key then Some payload else None
-    with _ -> None
-
-let store_raw t ~key payload = store_entry t ~key ~fmt:raw_format payload
 
 (* Length-prefixing makes the join injective: no choice of parts can
    collide with a different split, whatever characters they contain. *)

@@ -9,7 +9,6 @@ module Block = Trips_edge.Block
 module Isa = Trips_edge.Isa
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
-module Specialize = Trips_sim.Specialize
 module Analyzer = Trips_analysis.Analyzer
 module Diag = Trips_analysis.Diag
 module Rcodegen = Trips_risc.Codegen
@@ -44,7 +43,6 @@ type t = {
   check_lint : bool;
   check_transval : bool;
   check_sim : bool;
-  check_spec : bool;
   check_risc : bool;
   check_cfg : bool;
   inject : inject option;
@@ -58,8 +56,7 @@ let all_presets =
   [ Driver.o0; Driver.compiled; Driver.hand; Driver.basic_blocks ]
 
 let make ?(presets = all_presets) ?(check_verify = true) ?(check_lint = true)
-    ?(check_transval = true) ?(check_sim = true) ?(check_spec = true)
-    ?(check_risc = true)
+    ?(check_transval = true) ?(check_sim = true) ?(check_risc = true)
     ?(check_cfg = true) ?inject ?timing_predict ?(timing_slack = 4.0)
     ?(timing_margin = 1000) ?(fuel = 50_000_000) () =
   {
@@ -68,7 +65,6 @@ let make ?(presets = all_presets) ?(check_verify = true) ?(check_lint = true)
     check_lint;
     check_transval;
     check_sim;
-    check_spec;
     check_risc;
     check_cfg;
     inject;
@@ -194,46 +190,6 @@ let run t (p : Ast.program) : verdict =
                   addf "sim-mem" pname
                     (Printf.sprintf "memory image diverged: %Ld vs %Ld"
                        (Image.checksum simg) ref_sum);
-                (* the specialized engine promises bit-identity with the
-                   interpreted one on any program — exactly the property
-                   random programs are good at stressing *)
-                (if t.check_spec then
-                   let simg2 = Image.build p.globals in
-                   match
-                     Specialize.run ~fuel:t.fuel ~threshold:0 bp simg2 ~entry
-                       ~args:[]
-                   with
-                   | exception e ->
-                     addf "spec" pname ("raised " ^ Printexc.to_string e)
-                   | rs ->
-                     let tm (x : Core.result) = x.Core.timing in
-                     let pick (st : Core.stats) =
-                       [ st.Core.cycles; st.Core.blocks;
-                         st.Core.branch_mispredicts;
-                         st.Core.callret_mispredicts; st.Core.load_flushes;
-                         st.Core.icache_misses; st.Core.dcache_misses;
-                         st.Core.l2_misses ]
-                     in
-                     if not (value_eq rs.Core.ret r.Core.ret) then
-                       addf "spec" pname
-                         (diff_detail "specialized result" (value_str rs.Core.ret))
-                     else if pick (tm rs) <> pick (tm r) then
-                       addf "spec" pname
-                         (Printf.sprintf
-                            "specialized timing diverged: cycles %d vs %d"
-                            (tm rs).Core.cycles (tm r).Core.cycles)
-                     else
-                       let po = r.Core.opn and ps_ = rs.Core.opn in
-                       if
-                         po.Trips_noc.Opn.total_packets
-                         <> ps_.Trips_noc.Opn.total_packets
-                         || po.Trips_noc.Opn.total_hops
-                            <> ps_.Trips_noc.Opn.total_hops
-                         || po.Trips_noc.Opn.contention_cycles
-                            <> ps_.Trips_noc.Opn.contention_cycles
-                         || po.Trips_noc.Opn.packets <> ps_.Trips_noc.Opn.packets
-                       then
-                         addf "spec" pname "specialized OPN profile diverged");
                 (match t.timing_predict with
                 | None -> ()
                 | Some predict -> (
@@ -298,8 +254,7 @@ let focus t (f : failure) =
     check_verify = is [ "verify"; "compile" ];
     check_lint = is [ "lint" ];
     check_transval = is [ "verify"; "compile" ] && t.check_transval;
-    check_sim = is [ "sim"; "sim-mem"; "timing"; "spec" ];
-    check_spec = is [ "spec" ];
+    check_sim = is [ "sim"; "sim-mem"; "timing" ];
     timing_predict = (if is [ "timing" ] then t.timing_predict else None);
     (* Shrink candidates are small; a tight fuel bound rejects candidates
        that became non-terminating without burning seconds each. *)

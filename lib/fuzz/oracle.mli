@@ -48,7 +48,6 @@ type t = {
   check_lint : bool;
   check_transval : bool;
   check_sim : bool;
-  check_spec : bool;
   check_risc : bool;
   check_cfg : bool;
   inject : inject option;
@@ -73,7 +72,6 @@ val make :
   ?check_lint:bool ->
   ?check_transval:bool ->
   ?check_sim:bool ->
-  ?check_spec:bool ->
   ?check_risc:bool ->
   ?check_cfg:bool ->
   ?inject:inject ->

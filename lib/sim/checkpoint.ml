@@ -41,7 +41,7 @@ let capture ?(config = Core.prototype) ?fuel ~after (program : Block.program)
   let s = Core.make_sim ~config program in
   let on_instance (inst : Exec.instance) =
     let plan = Hashtbl.find s.Core.plans inst.Exec.iblock.Block.label in
-    Core.step_instance s ~time:Core.interp_time plan inst
+    Core.step_instance s plan inst
   in
   match Exec.capture ?fuel ~on_instance ~after program image ~entry ~args with
   | Exec.Finished _ -> None
@@ -60,9 +60,9 @@ let capture ?(config = Core.prototype) ?fuel ~after (program : Block.program)
       }
 
 (* Fresh simulator with the checkpoint's warm state spliced in, plus a
-   private copy of the image: the composable primitive under [resume],
-   usable with any timing engine.  The shadow call stack mirrors the
-   architectural one so return prediction stays aligned. *)
+   private copy of the image: the composable primitive under [resume].
+   The shadow call stack mirrors the architectural one so return
+   prediction stays aligned. *)
 let restore ck (program : Block.program) =
   let s = Core.make_sim ~config:ck.ck_config program in
   s.Core.pred <- Blockpred.copy ck.ck_pred;
@@ -77,7 +77,7 @@ let resume ?fuel ck (program : Block.program) =
   let s, image = restore ck program in
   let on_instance (inst : Exec.instance) =
     let plan = Hashtbl.find s.Core.plans inst.Exec.iblock.Block.label in
-    Core.step_instance s ~time:Core.interp_time plan inst
+    Core.step_instance s plan inst
   in
   let exec_result =
     Exec.run ?fuel ~on_instance ~resume:ck.ck_snapshot program image

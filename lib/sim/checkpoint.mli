@@ -41,8 +41,9 @@ val capture :
 val restore : t -> Trips_edge.Block.program -> Core.sim * Trips_tir.Image.t
 (** Fresh simulator with the checkpoint's warm predictor/cache state
     spliced in, plus a private copy of the image: the composable
-    primitive for resuming under any timing engine. *)
+    primitive under {!resume}, for drivers that step the tail
+    themselves. *)
 
 val resume : ?fuel:int -> t -> Trips_edge.Block.program -> Core.result
-(** Simulate the program tail from the checkpoint under the interpreted
-    engine.  [timing.cycles] counts from the resume point. *)
+(** Simulate the program tail from the checkpoint.  [timing.cycles]
+    counts from the resume point. *)

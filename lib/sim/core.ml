@@ -103,13 +103,6 @@ let k_load = 1
 let k_store = 2
 let k_branch = 3
 
-(* Extension slot for engines layered on top of the interpreter: the
-   specializer ({!Trips_sim.Specialize}) attaches its compiled entry to
-   the plan it was derived from, so the hot path finds it without a side
-   table.  An open type keeps [Core] ignorant of what is attached. *)
-type ext = ..
-type ext += Ext_none
-
 type plan = {
   p_label : string;
   mutable p_id : int;                (* interned label id; -1 until first use *)
@@ -150,7 +143,6 @@ type plan = {
   p_vlen : int array;
   p_paths : int array;
   p_obs : block_obs;                 (* measured profile, updated in place *)
-  mutable p_ext : ext;               (* engine extension (specializer) *)
 }
 
 (* Reusable per-instance scratch state, sized once for the largest block
@@ -564,7 +556,6 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
     p_vlen = of_rev_list !vlen;
     p_paths = of_rev_list !paths;
     p_obs = { bo_instances = 0; bo_latency = 0; bo_residency = 0 };
-    p_ext = Ext_none;
   }
 
 let dram_latency s ~now =
@@ -606,18 +597,19 @@ let icache_fetch s ~addr ~bytes ~now =
 (* ------------------------------------------------------------------ *)
 
 (* Result of timing one block instance.  Register writes land in the
-   scratch [w_reg]/[w_time] arrays (consumed by [run] right after). *)
+   scratch [w_reg]/[w_time] arrays (consumed by [step_instance] right
+   after). *)
 type btime = {
   bt_resolve : int;           (* branch resolution at the GT *)
   bt_done : int;              (* all outputs produced *)
   bt_flushed : bool;
 }
 
-(* The end-of-instance protocol shared by every dataflow timer: the
-   store-load violation sweep over the instance's memory events, the
-   load-wait learning, and the completion/flush arithmetic.  [resolve]
-   is the branch-resolution time accumulated during the drain. *)
-let finish_instance s (cfg : config) ~resolve : btime =
+(* The end of [time_block]: the store-load violation sweep over the
+   instance's memory events, the load-wait learning, and the
+   completion/flush arithmetic.  [resolve] is the branch-resolution time
+   accumulated during the drain. *)
+let finish_instance s ~resolve : btime =
   let sc = s.scratch in
   (* store-load violations: a load that accessed the DT before an earlier
      (lower-LSID) overlapping store arrived.  LSID-sorted interval scan:
@@ -694,15 +686,14 @@ let finish_instance s (cfg : config) ~resolve : btime =
   for k = 0 to sc.w_cnt - 1 do
     if sc.w_time.(k) > !all_done then all_done := sc.w_time.(k)
   done;
-  let all_done = if !flushed then !all_done + cfg.flush_penalty else !all_done in
+  let all_done = if !flushed then !all_done + s.cfg.flush_penalty else !all_done in
   {
     bt_resolve = imax resolve (if !flushed then all_done else resolve);
     bt_done = all_done;
     bt_flushed = !flushed;
   }
 
-let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
-    ~dispatch_start : btime =
+let time_block s (plan : plan) (inst : Exec.instance) ~dispatch_start : btime =
   let n = plan.p_n in
   let fired = inst.Exec.fired in
   let sc = s.scratch in
@@ -953,7 +944,7 @@ let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
       end
     end
   done;
-  finish_instance s cfg ~resolve:!resolve
+  finish_instance s ~resolve:!resolve
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program simulation                                            *)
@@ -1069,117 +1060,113 @@ let infl_push s fetch commit size =
     s.infl_len <- s.infl_len + 1;
     s.infl_insts <- s.infl_insts + size
 
-(* One committed block instance: everything [run] does around the
-   dataflow timing itself — fetch scheduling, I-cache, commit, register
-   availability, next-block prediction, occupancy accounting.  [time]
-   computes the dataflow portion; engines that compile plans substitute
-   their own. *)
-type time_fn = sim -> plan -> Exec.instance -> dispatch_start:int -> btime
-
-let step_instance s ~(time : time_fn) (plan : plan) (inst : Exec.instance) =
+(* One committed block instance: fetch scheduling, I-cache, the dataflow
+   timing of [time_block], commit, register availability, next-block
+   prediction and occupancy accounting. *)
+let step_instance s (plan : plan) (inst : Exec.instance) =
   let config = s.cfg in
   let label_id = intern_plan s plan in
   let n = plan.p_n in
-    (* 1. fetch start *)
-    let frame_limit =
-      if s.seq >= config.window_blocks then
-        s.commits.(s.seq mod config.window_blocks)
-      else 0
+  (* 1. fetch start *)
+  let frame_limit =
+    if s.seq >= config.window_blocks then
+      s.commits.(s.seq mod config.window_blocks)
+    else 0
+  in
+  let fetch =
+    match s.prev with
+    | None -> 0
+    | Some p ->
+      if p.p_correct then imax (p.p_fetch + config.fetch_interval) frame_limit
+      else begin
+        (match p.p_kind with
+        | Blockpred.Kjump -> s.st.branch_mispredicts <- s.st.branch_mispredicts + 1
+        | Blockpred.Kcall | Blockpred.Kret ->
+          s.st.callret_mispredicts <- s.st.callret_mispredicts + 1);
+        imax (p.p_resolve + config.redirect_penalty) frame_limit
+      end
+  in
+  (* 2. instruction fetch *)
+  let ilat = icache_fetch s ~addr:plan.p_addr ~bytes:plan.p_bytes ~now:fetch in
+  (* 3. dataflow *)
+  let bt = time_block s plan inst ~dispatch_start:(fetch + ilat) in
+  (* 4. commit: the distributed protocol adds latency but is pipelined,
+     not serializing (the paper found block commit off the critical
+     path) *)
+  let commit = imax (bt.bt_done + config.commit_overhead) (s.last_commit + 1) in
+  s.last_commit <- commit;
+  s.commits.(s.seq mod config.window_blocks) <- commit;
+  s.seq <- s.seq + 1;
+  (* register availability for later blocks; reverse append order so a
+     register written twice keeps the first write, as the seed did *)
+  let sc = s.scratch in
+  for k = sc.w_cnt - 1 downto 0 do
+    s.reg_ready.(sc.w_reg.(k)) <- sc.w_time.(k)
+  done;
+  (* 5. next-block prediction *)
+  let actual_label, kind =
+    match inst.Exec.exit_dest with
+    | Isa.Xjump l -> (Some l, Blockpred.Kjump)
+    | Isa.Xcall (fname, retl) ->
+      s.shadow_stack <- retl :: s.shadow_stack;
+      (Hashtbl.find_opt s.func_entry fname, Blockpred.Kcall)
+    | Isa.Xret -> (
+      match s.shadow_stack with
+      | [] -> (None, Blockpred.Kret)
+      | retl :: rest ->
+        s.shadow_stack <- rest;
+        (Some retl, Blockpred.Kret))
+  in
+  let actual_id = Option.map (intern s) actual_label in
+  let predicted = Blockpred.predict s.pred ~block:label_id in
+  let correct = actual_id <> None && predicted = actual_id in
+  (match actual_id with
+  | Some target ->
+    let exit_idx =
+      let exits = plan.p_exits in
+      let rec find k =
+        if k >= Array.length exits then 0
+        else if exits.(k) = inst.Exec.exit_inst then k
+        else find (k + 1)
+      in
+      find 0
     in
-    let fetch =
-      match s.prev with
-      | None -> 0
-      | Some p ->
-        if p.p_correct then imax (p.p_fetch + config.fetch_interval) frame_limit
-        else begin
-          (match p.p_kind with
-          | Blockpred.Kjump -> s.st.branch_mispredicts <- s.st.branch_mispredicts + 1
-          | Blockpred.Kcall | Blockpred.Kret ->
-            s.st.callret_mispredicts <- s.st.callret_mispredicts + 1);
-          imax (p.p_resolve + config.redirect_penalty) frame_limit
-        end
-    in
-    (* 2. instruction fetch *)
-    let ilat = icache_fetch s ~addr:plan.p_addr ~bytes:plan.p_bytes ~now:fetch in
-    (* 3. dataflow *)
-    let bt = time s plan inst ~dispatch_start:(fetch + ilat) in
-    (* 4. commit: the distributed protocol adds latency but is pipelined,
-       not serializing (the paper found block commit off the critical
-       path) *)
-    let commit = imax (bt.bt_done + config.commit_overhead) (s.last_commit + 1) in
-    s.last_commit <- commit;
-    s.commits.(s.seq mod config.window_blocks) <- commit;
-    s.seq <- s.seq + 1;
-    (* register availability for later blocks; reverse append order so a
-       register written twice keeps the first write, as the seed did *)
-    let sc = s.scratch in
-    for k = sc.w_cnt - 1 downto 0 do
-      s.reg_ready.(sc.w_reg.(k)) <- sc.w_time.(k)
-    done;
-    (* 5. next-block prediction *)
-    let actual_label, kind =
+    let fall =
       match inst.Exec.exit_dest with
-      | Isa.Xjump l -> (Some l, Blockpred.Kjump)
-      | Isa.Xcall (fname, retl) ->
-        s.shadow_stack <- retl :: s.shadow_stack;
-        (Hashtbl.find_opt s.func_entry fname, Blockpred.Kcall)
-      | Isa.Xret -> (
-        match s.shadow_stack with
-        | [] -> (None, Blockpred.Kret)
-        | retl :: rest ->
-          s.shadow_stack <- rest;
-          (Some retl, Blockpred.Kret))
+      | Isa.Xcall (_, retl) -> intern s retl
+      | _ -> 0
     in
-    let actual_id = Option.map (intern s) actual_label in
-    let predicted = Blockpred.predict s.pred ~block:label_id in
-    let correct = actual_id <> None && predicted = actual_id in
-    (match actual_id with
-    | Some target ->
-      let exit_idx =
-        let exits = plan.p_exits in
-        let rec find k =
-          if k >= Array.length exits then 0
-          else if exits.(k) = inst.Exec.exit_inst then k
-          else find (k + 1)
-        in
-        find 0
-      in
-      let fall =
-        match inst.Exec.exit_dest with
-        | Isa.Xcall (_, retl) -> intern s retl
-        | _ -> 0
-      in
-      Blockpred.update s.pred
-        {
-          Blockpred.o_block = label_id;
-          o_exit = exit_idx;
-          o_kind = kind;
-          o_target = target;
-          o_fallthrough = fall;
-        }
-    | None -> ());
-    s.prev <-
-      Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
-             p_kind = kind };
-    (* 6. occupancy accounting *)
-    s.st.blocks <- s.st.blocks + 1;
-    let obs = plan.p_obs in
-    obs.bo_instances <- obs.bo_instances + 1;
-    obs.bo_latency <- obs.bo_latency + (bt.bt_done - (fetch + ilat));
-    obs.bo_residency <- obs.bo_residency + (commit - fetch);
-    let useful =
-      let u = ref 0 in
-      let fd = inst.Exec.fired and us = inst.Exec.useful in
-      for i = 0 to Array.length fd - 1 do
-        if Array.unsafe_get fd i && Array.unsafe_get us i then incr u
-      done;
-      !u
-    in
-    let residency = imax 1 (commit - fetch) in
-    s.st.occupancy_weighted <- s.st.occupancy_weighted +. float_of_int (n * residency);
-    s.st.occupancy_useful <- s.st.occupancy_useful +. float_of_int (useful * residency);
-    infl_push s fetch commit n;
-    if s.infl_insts > s.st.peak_occupancy then s.st.peak_occupancy <- s.infl_insts
+    Blockpred.update s.pred
+      {
+        Blockpred.o_block = label_id;
+        o_exit = exit_idx;
+        o_kind = kind;
+        o_target = target;
+        o_fallthrough = fall;
+      }
+  | None -> ());
+  s.prev <-
+    Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
+           p_kind = kind };
+  (* 6. occupancy accounting *)
+  s.st.blocks <- s.st.blocks + 1;
+  let obs = plan.p_obs in
+  obs.bo_instances <- obs.bo_instances + 1;
+  obs.bo_latency <- obs.bo_latency + (bt.bt_done - (fetch + ilat));
+  obs.bo_residency <- obs.bo_residency + (commit - fetch);
+  let useful =
+    let u = ref 0 in
+    let fd = inst.Exec.fired and us = inst.Exec.useful in
+    for i = 0 to Array.length fd - 1 do
+      if Array.unsafe_get fd i && Array.unsafe_get us i then incr u
+    done;
+    !u
+  in
+  let residency = imax 1 (commit - fetch) in
+  s.st.occupancy_weighted <- s.st.occupancy_weighted +. float_of_int (n * residency);
+  s.st.occupancy_useful <- s.st.occupancy_useful +. float_of_int (useful * residency);
+  infl_push s fetch commit n;
+  if s.infl_insts > s.st.peak_occupancy then s.st.peak_occupancy <- s.infl_insts
 
 (* Assemble the public result once execution finished. *)
 let collect_result s (exec_result : Exec.result) =
@@ -1199,21 +1186,12 @@ let collect_result s (exec_result : Exec.result) =
            s.plans []);
   }
 
-let interp_time : time_fn =
- fun s plan inst ~dispatch_start ->
-  time_block s s.cfg plan inst ~dispatch_start
-
-let drive ?fuel s ~(time : time_fn) (program : Block.program) image ~entry ~args =
-  let on_instance (inst : Exec.instance) =
-    let plan = Hashtbl.find s.plans inst.Exec.iblock.Block.label in
-    step_instance s ~time plan inst
-  in
-  let exec_result = Exec.run ?fuel ~on_instance program image ~entry ~args in
-  collect_result s exec_result
-
 let run ?config ?fuel (program : Block.program) image ~entry ~args =
   let s = make_sim ?config program in
-  drive ?fuel s ~time:interp_time program image ~entry ~args
+  let on_instance (inst : Exec.instance) =
+    step_instance s (Hashtbl.find s.plans inst.Exec.iblock.Block.label) inst
+  in
+  collect_result s (Exec.run ?fuel ~on_instance program image ~entry ~args)
 
 let ipc r =
   float_of_int r.exec.Exec.executed /. float_of_int (max 1 r.timing.cycles)

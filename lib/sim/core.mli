@@ -89,26 +89,14 @@ val avg_window : result -> float
 
 val avg_window_useful : result -> float
 
-(** {1 Engine hooks}
+(** {1 Per-instance driving}
 
-    The whole-program driver, static plans and per-instance machinery are
-    exposed so engines layered on top — the plan specializer
-    ({!Trips_sim.Specialize}) and checkpointing ({!Trips_sim.Checkpoint})
-    — can reuse the exact model state transitions instead of duplicating
-    them.  Everything below is Core's internal representation; treat it
-    as read-mostly and keep any mutation bit-identical to what
-    {!time_block} / {!step_instance} would have done. *)
-
-type ext = ..
-(** Open extension slot on a {!plan}: engines attach derived/compiled
-    per-block state ({!Trips_sim.Specialize} stores its compiled entry). *)
-
-type ext += Ext_none
-
-val k_alu : int
-val k_load : int
-val k_store : int
-val k_branch : int
+    Model state and the per-instance step are exposed so drivers that
+    interleave detailed timing with other work — the sampled simulator
+    ({!Trips_sim.Sampled}) and checkpointing ({!Trips_sim.Checkpoint}) —
+    reuse the exact state transitions of {!run}.  Everything below is
+    Core's internal representation; treat it as read-mostly and keep any
+    mutation bit-identical to what {!step_instance} would have done. *)
 
 type plan = {
   p_label : string;
@@ -120,7 +108,7 @@ type plan = {
   p_tile : int array;                (* per-inst ET index *)
   p_need : int array;                (* operand arity + predicate slot *)
   p_lat : int array;                 (* Isa.latency per instruction *)
-  p_kind : int array;                (* k_alu / k_load / k_store / k_branch *)
+  p_kind : int array;                (* alu / load / store / branch *)
   p_lsid : int array;                (* loads and stores; -1 otherwise *)
   p_wait : int array;                (* Depend site id of the wait check *)
   p_viol : int array;                (* Depend site id of violation learning *)
@@ -145,41 +133,10 @@ type plan = {
   p_vlen : int array;
   p_paths : int array;
   p_obs : block_obs;                 (* measured profile, updated in place *)
-  mutable p_ext : ext;               (* engine extension (specializer) *)
 }
 
-type scratch = {
-  sc_cnt : int array;                (* arrived operand count per inst *)
-  sc_arr : int array;                (* max arrival time per inst *)
-  sc_done : int array;               (* completion time, -1 = pending *)
-  sc_et : int array;                 (* per-ET next free issue cycle *)
-  sc_dt : int array;                 (* per-DT-bank next free cycle *)
-  sc_store : int array;              (* per-LSID store DT arrival *)
-  sc_ev_addr : int array;            (* memory event of the inst, addr *)
-  sc_ev_width : int array;           (* bytes *)
-  sc_ev_bank : int array;            (* L1D bank of the event address *)
-  sc_ev_null : bool array;
-  sc_has_ev : bool array;
-  mutable q_head : int array;        (* calendar queue: time offset -> inst *)
-  mutable q_bits : int array;        (* bucket-occupancy bitmap, 32/word *)
-  q_next : int array;
-  mutable q_cursor : int;
-  mutable q_count : int;
-  mutable q_base : int;
-  m_lsid : int array;                (* per-instance memory events (SoA) *)
-  m_load : bool array;
-  m_addr : int array;
-  m_width : int array;
-  m_null : bool array;
-  m_time : int array;
-  m_viol : int array;
-  mutable m_cnt : int;
-  v_load : int array;                (* violation sweep scratch *)
-  v_store : int array;
-  w_reg : int array;                 (* register writes of the instance *)
-  w_time : int array;
-  mutable w_cnt : int;
-}
+type scratch
+(** Per-instance dataflow scratch, sized once for the largest block. *)
 
 type sim = {
   cfg : config;
@@ -218,58 +175,16 @@ and prev = {
   p_kind : Trips_predictor.Blockpred.kind;
 }
 
-type btime = {
-  bt_resolve : int;                  (* branch resolution at the GT *)
-  bt_done : int;                     (* all outputs produced *)
-  bt_flushed : bool;
-}
-
-type time_fn = sim -> plan -> Trips_edge.Exec.instance -> dispatch_start:int -> btime
-
-val build_plan : config -> Trips_edge.Block.t -> addr:int -> plan
-
 val make_sim : ?config:config -> Trips_edge.Block.program -> sim
-(** Static planning plus fresh model state; [run] is [drive] over this. *)
+(** Static planning plus fresh model state: {!run} steps every committed
+    instance of the program through this. *)
 
 val intern_plan : sim -> plan -> int
 val intern : sim -> string -> int
 
-val queue_push : scratch -> int -> int -> unit
-val queue_pop : scratch -> int
-val imax : int -> int -> int
-
-val icache_fetch : sim -> addr:int -> bytes:int -> now:int -> int
-val l2_access : sim -> addr:int -> write:bool -> now:int -> int
-
-val time_block :
-  sim -> config -> plan -> Trips_edge.Exec.instance -> dispatch_start:int -> btime
-(** The interpretive dataflow timer: the reference any compiled engine
-    must match bit for bit. *)
-
-val finish_instance : sim -> config -> resolve:int -> btime
-(** End-of-instance protocol over the scratch memory events: violation
-    sweep, load-wait learning, completion/flush arithmetic.  Every
-    dataflow timer must end with exactly this. *)
-
-val interp_time : time_fn
-
-val step_instance : sim -> time:time_fn -> plan -> Trips_edge.Exec.instance -> unit
-(** Fetch scheduling, I-cache, [time], commit, register availability,
-    prediction and occupancy accounting for one committed instance. *)
+val step_instance : sim -> plan -> Trips_edge.Exec.instance -> unit
+(** Fetch scheduling, I-cache, dataflow timing, commit, register
+    availability, prediction and occupancy accounting for one committed
+    instance. *)
 
 val collect_result : sim -> Trips_edge.Exec.result -> result
-
-val drive :
-  ?fuel:int ->
-  sim ->
-  time:time_fn ->
-  Trips_edge.Block.program ->
-  Trips_tir.Image.t ->
-  entry:string ->
-  args:Trips_tir.Ty.value list ->
-  result
-(** [run] with the model state and the dataflow timer supplied by the
-    caller: the seam the specialized engine plugs into. *)
-
-val block_bytes : int -> int
-(** Compressed code footprint of an [n]-instruction block (§4.4). *)

@@ -131,8 +131,8 @@ let warm_instance (s : Core.sim) (plan : Core.plan) (inst : Exec.instance) =
         o_fallthrough = fall;
       }
   | None -> ());
-  (* execution counts keep accumulating so hot-block selection sees the
-     true profile *)
+  (* execution counts keep accumulating so the block profile reports true
+     instance counts *)
   plan.Core.p_obs.Core.bo_instances <- plan.Core.p_obs.Core.bo_instances + 1
 
 let exact_estimate (r : Core.result) =
@@ -149,16 +149,12 @@ let exact_estimate (r : Core.result) =
     es_full = true;
   }
 
-let run_report ?config ?fuel ?(threshold = Specialize.default_threshold) ?cache
-    ?(params = default_params) (program : Block.program) image ~entry ~args =
+let run ?config ?fuel ?(params = default_params) (program : Block.program) image
+    ~entry ~args =
   if params.sp_warm + params.sp_measure >= params.sp_period then
     invalid_arg "Sampled.run: warm + measure must be below the period";
-  (* the specialized engine times the detailed stretches; compile-on-use
-     so measurement intervals hit compiled plans immediately *)
   let image0 = Image.copy image in
   let s = Core.make_sim ?config program in
-  let st = Specialize.make_state ?cache ~threshold s in
-  let time = Specialize.time st in
   let samples = ref [] in
   let n_blocks = ref 0 in
   let measured_blocks = ref 0 in
@@ -181,7 +177,7 @@ let run_report ?config ?fuel ?(threshold = Specialize.default_threshold) ?cache
               p_kind = Blockpred.Kjump;
             };
       if phase = params.sp_warm then measure_c0 := s.Core.last_commit;
-      Core.step_instance s ~time plan inst;
+      Core.step_instance s plan inst;
       if phase = detail - 1 then begin
         samples :=
           float_of_int (s.Core.last_commit - !measure_c0)
@@ -194,21 +190,16 @@ let run_report ?config ?fuel ?(threshold = Specialize.default_threshold) ?cache
     incr n_blocks
   in
   let exec_result = Exec.run ?fuel ~on_instance program image ~entry ~args in
-  Specialize.flush st;
   let detailed = Core.collect_result s exec_result in
   let total = exec_result.Exec.stats.Exec.blocks in
   let n = List.length !samples in
   if total <= detail then
     (* the whole run fit inside the first detailed stretch: exact *)
-    (detailed, exact_estimate detailed, Specialize.state_report st)
-  else if n < params.sp_min_intervals then begin
+    (detailed, exact_estimate detailed)
+  else if n < params.sp_min_intervals then
     (* too short to bound the error: fall back to full detailed *)
-    let full, rep =
-      Specialize.run_report ?config ?fuel ~threshold ?cache program image0
-        ~entry ~args
-    in
-    (full, exact_estimate full, rep)
-  end
+    let full = Core.run ?config ?fuel program image0 ~entry ~args in
+    (full, exact_estimate full)
   else begin
     let xs = !samples in
     let nf = float_of_int n in
@@ -231,12 +222,5 @@ let run_report ?config ?fuel ?(threshold = Specialize.default_threshold) ?cache
         es_full = false;
       }
     in
-    (detailed, est, Specialize.state_report st)
+    (detailed, est)
   end
-
-let run ?config ?fuel ?threshold ?cache ?params program image ~entry ~args =
-  let detailed, est, _ =
-    run_report ?config ?fuel ?threshold ?cache ?params program image ~entry
-      ~args
-  in
-  (detailed, est)

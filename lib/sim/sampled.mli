@@ -36,8 +36,6 @@ type estimate = {
 val run :
   ?config:Core.config ->
   ?fuel:int ->
-  ?threshold:int ->
-  ?cache:Plan_cache.t ->
   ?params:params ->
   Trips_edge.Block.program ->
   Trips_tir.Image.t ->
@@ -47,19 +45,6 @@ val run :
 (** The [Core.result] carries the exact functional statistics; its
     timing covers only the detailed stretches (clock frozen elsewhere) —
     the [estimate] is the headline cycle figure.  When [es_full] is set
-    the result is a complete detailed simulation and [es_cycles] is
-    exact.  Detailed stretches are timed by the {!Specialize} engine
-    ([threshold]/[cache] as there). *)
-
-val run_report :
-  ?config:Core.config ->
-  ?fuel:int ->
-  ?threshold:int ->
-  ?cache:Plan_cache.t ->
-  ?params:params ->
-  Trips_edge.Block.program ->
-  Trips_tir.Image.t ->
-  entry:string ->
-  args:Trips_tir.Ty.value list ->
-  Core.result * estimate * Specialize.report
-(** {!run} plus the specializer's compilation/cache counters. *)
+    the result is a complete detailed simulation ({!Core.run}) and
+    [es_cycles] is exact.  Detailed stretches are timed by
+    {!Core.step_instance}. *)
