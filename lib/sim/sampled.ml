@@ -52,20 +52,23 @@ type estimate = {
   es_full : bool;              (* true: exact full simulation, CI 0 *)
 }
 
-(* Two-sided Student-t critical values at 95% for small df; 1.96 in the
-   limit.  Indexed by df, capped. *)
+(* Two-sided Student-t critical values at 95%, rounded up to three
+   decimals so the interval is never narrower than stated.  Past df 30
+   each bracket takes the value at its lower end, which bounds every df
+   inside it (the quantile falls as df grows): t(31) = 2.040,
+   t(61) = 2.000, t(121) = 1.980. *)
 let t95 df =
   let table =
-    [| 12.706; 4.303; 3.182; 2.776; 2.571; 2.447; 2.365; 2.306; 2.262;
-       2.228; 2.201; 2.179; 2.160; 2.145; 2.131; 2.120; 2.110; 2.101;
-       2.093; 2.086; 2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052;
-       2.048; 2.045; 2.042 |]
+    [| 12.707; 4.303; 3.183; 2.777; 2.571; 2.447; 2.365; 2.307; 2.263;
+       2.229; 2.201; 2.179; 2.161; 2.145; 2.132; 2.120; 2.110; 2.101;
+       2.094; 2.086; 2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052;
+       2.049; 2.046; 2.043 |]
   in
   if df <= 0 then infinity
   else if df <= 30 then table.(df - 1)
-  else if df <= 60 then 2.00
-  else if df <= 120 then 1.98
-  else 1.96
+  else if df <= 60 then 2.042
+  else if df <= 120 then 2.000
+  else 1.980
 
 (* Functional warming of one block instance: exactly the predictor
    training and cache touches [Core.step_instance] performs, with every

@@ -1,8 +1,8 @@
 (* Golden estimates of the sampled simulator ([Sampled.run] with default
    parameters, preset C), recorded before its detailed stretches moved
    from the specialized engine to [Core].  Floats are hex literals, so the
-   comparison is bit-exact.  The first six rows sample; the last two are
-   short enough to take the full-detail fallback.  [es_ci95] is not
+   comparison is bit-exact.  The first seven rows sample; the last two
+   are short enough to take the full-detail fallback.  [es_ci95] is not
    pinned: it depends only on the fields below and the Student-t table.
 
    name, detailed-stretch cycles, es_cycles, es_intervals,
@@ -15,6 +15,7 @@ let per_workload = [
   ("gzip", 194076, 0x1.6f1719df51b3bp+20, 47, 3760, 48245, 0x1.f2a7c2fee91f8p+4, 0x1.224cd69d41e57p+0, false);
   ("parser", 135933, 0x1.fd61d61c71c72p+19, 36, 2880, 36029, 0x1.cf471c71c71c7p+4, 0x1.0178860185e51p+2, false);
   ("cjpeg", 50480, 0x1.734edbfffffffp+18, 33, 2640, 33685, 0x1.6933333333332p+3, 0x1.5c1a3e556bdaep+2, false);
+  ("equake", 55845, 0x1.9169bd1c13d1bp+18, 31, 2480, 30996, 0x1.a85c7d85c7d85p+3, 0x1.174410f47f533p+2, false);
   ("fft", 34629, 0x1.0e8ap+15, 0, 2570, 2570, 0x1.af2d9f2d9f2dap+3, 0x0p+0, true);
   ("vortex", 418583, 0x1.98c5cp+18, 0, 12366, 12366, 0x1.0ecbca2ccc88fp+5, 0x0p+0, true);
 ]

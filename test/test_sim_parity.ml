@@ -186,6 +186,31 @@ let check_sampled_golden
   bits "es_cpb_stddev" sd est.Sampled.es_cpb_stddev;
   Alcotest.(check bool) "es_full" full est.Sampled.es_full
 
+(* True two-sided 95% Student-t quantiles, t_0.975(df), for the degrees of
+   freedom the sampling rows of [Sampled_golden] produce. *)
+let t975 =
+  [ (30, 2.04227); (32, 2.03693); (35, 2.03011); (46, 2.01290);
+    (86, 1.98793); (88, 1.98729); (193, 1.97233) ]
+
+(* The reported interval must be at least as wide as a true 95% interval:
+   the t value implied by [es_ci95] may not fall below the quantile for
+   its df. *)
+let check_sampled_t95 name () =
+  let prog, image = compiled name in
+  let _, est = Sampled.run prog image ~entry:"main" ~args:[] in
+  let n = est.Sampled.es_intervals in
+  let implied =
+    est.Sampled.es_ci95
+    /. (est.Sampled.es_cpb_stddev /. sqrt (float_of_int n)
+       *. float_of_int est.Sampled.es_total_blocks)
+  in
+  match List.assoc_opt (n - 1) t975 with
+  | None -> Alcotest.failf "no t quantile tabulated for df %d" (n - 1)
+  | Some q ->
+    if implied < q then
+      Alcotest.failf "df %d: implied t %.5f below the 95%% quantile %.5f"
+        (n - 1) implied q
+
 let () =
   Alcotest.run "sim_parity"
     [
@@ -210,5 +235,13 @@ let () =
             (fun ((name, _, _, _, _, _, _, _, _) as row) ->
               Alcotest.test_case (name ^ " golden") `Quick
                 (check_sampled_golden row))
+            Sampled_golden.per_workload
+        @ List.filter_map
+            (fun (name, _, _, _, _, _, _, _, full) ->
+              if full then None
+              else
+                Some
+                  (Alcotest.test_case (name ^ " t95") `Quick
+                     (check_sampled_t95 name)))
             Sampled_golden.per_workload );
     ]
