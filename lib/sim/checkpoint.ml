@@ -60,9 +60,8 @@ let capture ?(config = Core.prototype) ?fuel ~after (program : Block.program)
       }
 
 (* Fresh simulator with the checkpoint's warm state spliced in, plus a
-   private copy of the image: the composable primitive under [resume].
-   The shadow call stack mirrors the architectural one so return
-   prediction stays aligned. *)
+   private copy of the image.  The shadow call stack mirrors the
+   architectural one so return prediction stays aligned. *)
 let restore ck (program : Block.program) =
   let s = Core.make_sim ~config:ck.ck_config program in
   s.Core.pred <- Blockpred.copy ck.ck_pred;

@@ -38,12 +38,6 @@ val capture :
     finishes first.  The passed image is mutated up to the capture
     point (the checkpoint stores its own copy). *)
 
-val restore : t -> Trips_edge.Block.program -> Core.sim * Trips_tir.Image.t
-(** Fresh simulator with the checkpoint's warm predictor/cache state
-    spliced in, plus a private copy of the image: the composable
-    primitive under {!resume}, for drivers that step the tail
-    themselves. *)
-
 val resume : ?fuel:int -> t -> Trips_edge.Block.program -> Core.result
 (** Simulate the program tail from the checkpoint.  [timing.cycles]
     counts from the resume point. *)

@@ -1067,106 +1067,106 @@ let step_instance s (plan : plan) (inst : Exec.instance) =
   let config = s.cfg in
   let label_id = intern_plan s plan in
   let n = plan.p_n in
-  (* 1. fetch start *)
-  let frame_limit =
-    if s.seq >= config.window_blocks then
-      s.commits.(s.seq mod config.window_blocks)
-    else 0
-  in
-  let fetch =
-    match s.prev with
-    | None -> 0
-    | Some p ->
-      if p.p_correct then imax (p.p_fetch + config.fetch_interval) frame_limit
-      else begin
-        (match p.p_kind with
-        | Blockpred.Kjump -> s.st.branch_mispredicts <- s.st.branch_mispredicts + 1
-        | Blockpred.Kcall | Blockpred.Kret ->
-          s.st.callret_mispredicts <- s.st.callret_mispredicts + 1);
-        imax (p.p_resolve + config.redirect_penalty) frame_limit
-      end
-  in
-  (* 2. instruction fetch *)
-  let ilat = icache_fetch s ~addr:plan.p_addr ~bytes:plan.p_bytes ~now:fetch in
-  (* 3. dataflow *)
-  let bt = time_block s plan inst ~dispatch_start:(fetch + ilat) in
-  (* 4. commit: the distributed protocol adds latency but is pipelined,
-     not serializing (the paper found block commit off the critical
-     path) *)
-  let commit = imax (bt.bt_done + config.commit_overhead) (s.last_commit + 1) in
-  s.last_commit <- commit;
-  s.commits.(s.seq mod config.window_blocks) <- commit;
-  s.seq <- s.seq + 1;
-  (* register availability for later blocks; reverse append order so a
-     register written twice keeps the first write, as the seed did *)
-  let sc = s.scratch in
-  for k = sc.w_cnt - 1 downto 0 do
-    s.reg_ready.(sc.w_reg.(k)) <- sc.w_time.(k)
-  done;
-  (* 5. next-block prediction *)
-  let actual_label, kind =
-    match inst.Exec.exit_dest with
-    | Isa.Xjump l -> (Some l, Blockpred.Kjump)
-    | Isa.Xcall (fname, retl) ->
-      s.shadow_stack <- retl :: s.shadow_stack;
-      (Hashtbl.find_opt s.func_entry fname, Blockpred.Kcall)
-    | Isa.Xret -> (
-      match s.shadow_stack with
-      | [] -> (None, Blockpred.Kret)
-      | retl :: rest ->
-        s.shadow_stack <- rest;
-        (Some retl, Blockpred.Kret))
-  in
-  let actual_id = Option.map (intern s) actual_label in
-  let predicted = Blockpred.predict s.pred ~block:label_id in
-  let correct = actual_id <> None && predicted = actual_id in
-  (match actual_id with
-  | Some target ->
-    let exit_idx =
-      let exits = plan.p_exits in
-      let rec find k =
-        if k >= Array.length exits then 0
-        else if exits.(k) = inst.Exec.exit_inst then k
-        else find (k + 1)
-      in
-      find 0
+    (* 1. fetch start *)
+    let frame_limit =
+      if s.seq >= config.window_blocks then
+        s.commits.(s.seq mod config.window_blocks)
+      else 0
     in
-    let fall =
-      match inst.Exec.exit_dest with
-      | Isa.Xcall (_, retl) -> intern s retl
-      | _ -> 0
+    let fetch =
+      match s.prev with
+      | None -> 0
+      | Some p ->
+        if p.p_correct then imax (p.p_fetch + config.fetch_interval) frame_limit
+        else begin
+          (match p.p_kind with
+          | Blockpred.Kjump -> s.st.branch_mispredicts <- s.st.branch_mispredicts + 1
+          | Blockpred.Kcall | Blockpred.Kret ->
+            s.st.callret_mispredicts <- s.st.callret_mispredicts + 1);
+          imax (p.p_resolve + config.redirect_penalty) frame_limit
+        end
     in
-    Blockpred.update s.pred
-      {
-        Blockpred.o_block = label_id;
-        o_exit = exit_idx;
-        o_kind = kind;
-        o_target = target;
-        o_fallthrough = fall;
-      }
-  | None -> ());
-  s.prev <-
-    Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
-           p_kind = kind };
-  (* 6. occupancy accounting *)
-  s.st.blocks <- s.st.blocks + 1;
-  let obs = plan.p_obs in
-  obs.bo_instances <- obs.bo_instances + 1;
-  obs.bo_latency <- obs.bo_latency + (bt.bt_done - (fetch + ilat));
-  obs.bo_residency <- obs.bo_residency + (commit - fetch);
-  let useful =
-    let u = ref 0 in
-    let fd = inst.Exec.fired and us = inst.Exec.useful in
-    for i = 0 to Array.length fd - 1 do
-      if Array.unsafe_get fd i && Array.unsafe_get us i then incr u
+    (* 2. instruction fetch *)
+    let ilat = icache_fetch s ~addr:plan.p_addr ~bytes:plan.p_bytes ~now:fetch in
+    (* 3. dataflow *)
+    let bt = time_block s plan inst ~dispatch_start:(fetch + ilat) in
+    (* 4. commit: the distributed protocol adds latency but is pipelined,
+       not serializing (the paper found block commit off the critical
+       path) *)
+    let commit = imax (bt.bt_done + config.commit_overhead) (s.last_commit + 1) in
+    s.last_commit <- commit;
+    s.commits.(s.seq mod config.window_blocks) <- commit;
+    s.seq <- s.seq + 1;
+    (* register availability for later blocks; reverse append order so a
+       register written twice keeps the first write, as the seed did *)
+    let sc = s.scratch in
+    for k = sc.w_cnt - 1 downto 0 do
+      s.reg_ready.(sc.w_reg.(k)) <- sc.w_time.(k)
     done;
-    !u
-  in
-  let residency = imax 1 (commit - fetch) in
-  s.st.occupancy_weighted <- s.st.occupancy_weighted +. float_of_int (n * residency);
-  s.st.occupancy_useful <- s.st.occupancy_useful +. float_of_int (useful * residency);
-  infl_push s fetch commit n;
-  if s.infl_insts > s.st.peak_occupancy then s.st.peak_occupancy <- s.infl_insts
+    (* 5. next-block prediction *)
+    let actual_label, kind =
+      match inst.Exec.exit_dest with
+      | Isa.Xjump l -> (Some l, Blockpred.Kjump)
+      | Isa.Xcall (fname, retl) ->
+        s.shadow_stack <- retl :: s.shadow_stack;
+        (Hashtbl.find_opt s.func_entry fname, Blockpred.Kcall)
+      | Isa.Xret -> (
+        match s.shadow_stack with
+        | [] -> (None, Blockpred.Kret)
+        | retl :: rest ->
+          s.shadow_stack <- rest;
+          (Some retl, Blockpred.Kret))
+    in
+    let actual_id = Option.map (intern s) actual_label in
+    let predicted = Blockpred.predict s.pred ~block:label_id in
+    let correct = actual_id <> None && predicted = actual_id in
+    (match actual_id with
+    | Some target ->
+      let exit_idx =
+        let exits = plan.p_exits in
+        let rec find k =
+          if k >= Array.length exits then 0
+          else if exits.(k) = inst.Exec.exit_inst then k
+          else find (k + 1)
+        in
+        find 0
+      in
+      let fall =
+        match inst.Exec.exit_dest with
+        | Isa.Xcall (_, retl) -> intern s retl
+        | _ -> 0
+      in
+      Blockpred.update s.pred
+        {
+          Blockpred.o_block = label_id;
+          o_exit = exit_idx;
+          o_kind = kind;
+          o_target = target;
+          o_fallthrough = fall;
+        }
+    | None -> ());
+    s.prev <-
+      Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
+             p_kind = kind };
+    (* 6. occupancy accounting *)
+    s.st.blocks <- s.st.blocks + 1;
+    let obs = plan.p_obs in
+    obs.bo_instances <- obs.bo_instances + 1;
+    obs.bo_latency <- obs.bo_latency + (bt.bt_done - (fetch + ilat));
+    obs.bo_residency <- obs.bo_residency + (commit - fetch);
+    let useful =
+      let u = ref 0 in
+      let fd = inst.Exec.fired and us = inst.Exec.useful in
+      for i = 0 to Array.length fd - 1 do
+        if Array.unsafe_get fd i && Array.unsafe_get us i then incr u
+      done;
+      !u
+    in
+    let residency = imax 1 (commit - fetch) in
+    s.st.occupancy_weighted <- s.st.occupancy_weighted +. float_of_int (n * residency);
+    s.st.occupancy_useful <- s.st.occupancy_useful +. float_of_int (useful * residency);
+    infl_push s fetch commit n;
+    if s.infl_insts > s.st.peak_occupancy then s.st.peak_occupancy <- s.infl_insts
 
 (* Assemble the public result once execution finished. *)
 let collect_result s (exec_result : Exec.result) =
