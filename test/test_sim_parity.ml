@@ -15,7 +15,12 @@
    The sampled simulator ([Sampled]) is pinned the same way: its
    estimates must equal the committed fixture [Sampled_golden] bit for
    bit, and on short workloads the true cycle count must fall inside its
-   reported interval.
+   reported interval.  Its detailed-stretch path, stretched over the
+   whole run, runs the same two layers as [Core] (the
+   [golden_specialized] and [differential_specialized] groups, named for
+   the specialized engine that timed those stretches before [Core] did):
+   every golden workload bit-identical to the fixture, and the
+   full-record differential against [Core_ref].
 
    The default run checks a fast subset (a few seconds); set
    TRIPS_PARITY_FULL=1 to sweep all registered workloads (the CI battery
@@ -52,9 +57,9 @@ let compiled name =
   let image = Image.build b.Registry.program.Trips_tir.Ast.globals in
   (prog, image)
 
-let check_golden (name, cycles, blocks, bm, cm, dm, lf) () =
+let check_golden_with run (name, cycles, blocks, bm, cm, dm, lf) () =
   let prog, image = compiled name in
-  let r = Core.run prog image ~entry:"main" ~args:[] in
+  let r : Core.result = run prog image ~entry:"main" ~args:[] in
   let t = r.Core.timing in
   Alcotest.(check int) "cycles" cycles t.Core.cycles;
   Alcotest.(check int) "blocks" blocks t.Core.blocks;
@@ -63,13 +68,34 @@ let check_golden (name, cycles, blocks, bm, cm, dm, lf) () =
   Alcotest.(check int) "dcache_misses" dm t.Core.dcache_misses;
   Alcotest.(check int) "load_flushes" lf t.Core.load_flushes
 
+let check_golden = check_golden_with (fun p i ~entry ~args -> Core.run p i ~entry ~args)
+
+(* Sampling parameters whose first detailed stretch never ends: the whole
+   run is timed by [Sampled]'s own detailed path and must come back as an
+   exact estimate of the complete [Core] result. *)
+let all_detail =
+  { Sampled.sp_period = max_int; sp_warm = 0; sp_measure = max_int - 1;
+    sp_min_intervals = 1 }
+
+let sampled_all_detail p i ~entry ~args =
+  let r, est = Sampled.run ~params:all_detail p i ~entry ~args in
+  Alcotest.(check bool) "es_full" true est.Sampled.es_full;
+  Alcotest.(check int) "es_intervals" 0 est.Sampled.es_intervals;
+  Alcotest.(check int) "es_total_blocks" r.Core.exec.Exec.blocks
+    est.Sampled.es_total_blocks;
+  Alcotest.(check (float 0.)) "es_cycles"
+    (float_of_int r.Core.timing.Core.cycles) est.Sampled.es_cycles;
+  r
+
+let check_golden_sampled = check_golden_with sampled_all_detail
+
 (* Field-by-field comparison against the frozen reference simulator.
    Each run gets a fresh image: execution mutates program memory. *)
-let check_differential name () =
+let check_differential_with run name () =
   let b = Registry.find name in
   let prog = Platforms.edge_program Platforms.C b in
   let fresh_image () = Image.build b.Registry.program.Trips_tir.Ast.globals in
-  let o = Core.run prog (fresh_image ()) ~entry:"main" ~args:[] in
+  let o : Core.result = run prog (fresh_image ()) ~entry:"main" ~args:[] in
   let r = Core_ref.run prog (fresh_image ()) ~entry:"main" ~args:[] in
   let ot = o.Core.timing and rt = r.Core_ref.timing in
   let ck what a b = Alcotest.(check int) what a b in
@@ -107,6 +133,11 @@ let check_differential name () =
   in
   Alcotest.(check bool) "block_profile" true
     (obs o.Core.block_profile = robs r.Core_ref.block_profile)
+
+let check_differential =
+  check_differential_with (fun p i ~entry ~args -> Core.run p i ~entry ~args)
+
+let check_differential_sampled = check_differential_with sampled_all_detail
 
 (* Checkpoint contract: architectural replay of the tail is exact (same
    return value, block counts adding up to the full run), and resuming
@@ -222,6 +253,16 @@ let () =
       ( "differential",
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_differential name))
+          [ "fft"; "basefp"; "pktflow"; "vortex"; "a2time"; "8b10b" ] );
+      ( "golden_specialized",
+        List.map
+          (fun ((name, _, _, _, _, _, _) as row) ->
+            Alcotest.test_case name `Quick (check_golden_sampled row))
+          (golden_rows ()) );
+      ( "differential_specialized",
+        List.map
+          (fun name ->
+            Alcotest.test_case name `Quick (check_differential_sampled name))
           [ "fft"; "basefp"; "pktflow"; "vortex"; "a2time"; "8b10b" ] );
       ( "checkpoint",
         List.map
